@@ -31,8 +31,8 @@
 // is a raw HTTP/1.1 client in the wrk mold: each worker owns one keep-alive
 // TCP connection and a set of fully preserialized request byte strings (one
 // per workload, request line + headers + body rendered once at startup),
-// writes them with a single syscall, and parses just enough of the response
-// — status code, Content-Length / chunked framing — to discard the body in
+// writes them with a single syscall, and reads the response with
+// internal/rawhttp — the router's own hop parser — discarding the body in
 // place. No net/http client, no per-request allocation, no shared state
 // between workers until results merge after the clock stops. The open loop
 // keeps net/http: arrivals spawn goroutines and the rate limiter, not the
@@ -56,6 +56,7 @@ import (
 	"sync"
 	"time"
 
+	"sentinel/internal/rawhttp"
 	"sentinel/internal/wire"
 )
 
@@ -247,19 +248,55 @@ func patchSeq(req []byte, off, n int) {
 	}
 }
 
-// worker is one closed-loop driver: a dedicated keep-alive connection, the
-// preserialized request per workload in the mix, and a private result slice
-// nothing else touches until the merge.
-type worker struct {
+// link is what both closed-loop drivers share: a dedicated keep-alive
+// connection, redialed after any error, and a private result slice nothing
+// else touches until the merge.
+type link struct {
 	host    string
-	reqs    [][]byte
-	seqOffs []int
 	conn    net.Conn
 	br      *bufio.Reader
 	results []result
 	timeout time.Duration
 	wid     int
 	seq     int
+}
+
+// send writes one preserialized request or frame, dialing first when the
+// last shot dropped the connection; the whole shot shares one deadline.
+func (l *link) send(b []byte, bufSize int) error {
+	if l.conn == nil {
+		c, err := net.DialTimeout("tcp", l.host, l.timeout)
+		if err != nil {
+			return err
+		}
+		l.conn = c
+		if l.br == nil {
+			l.br = bufio.NewReaderSize(c, bufSize)
+		} else {
+			l.br.Reset(c)
+		}
+	}
+	if err := l.conn.SetDeadline(time.Now().Add(l.timeout)); err != nil {
+		return err
+	}
+	_, err := l.conn.Write(b)
+	return err
+}
+
+func (l *link) close() {
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
+	}
+}
+
+// worker is one closed-loop driver: its link and the preserialized request
+// per workload in the mix.
+type worker struct {
+	link
+	reqs    [][]byte
+	seqOffs []int
+	resp    rawhttp.Response
 
 	// Per-worker X-Fleet-Backend tally (who actually answered when driving a
 	// router: backend addresses, or "cache" for front-cache hits). A linear
@@ -284,7 +321,7 @@ func (w *worker) tallyBackend(v []byte) {
 }
 
 func newWorker(host, path string, wid int, bodies [][]byte, timeout time.Duration) *worker {
-	w := &worker{host: host, timeout: timeout, wid: wid}
+	w := &worker{link: link{host: host, timeout: timeout, wid: wid}}
 	for _, body := range bodies {
 		req, off := rawRequest(host, path, wid, body)
 		w.reqs = append(w.reqs, req)
@@ -303,10 +340,7 @@ func (w *worker) shoot(j int) {
 	status, err := w.do(j)
 	lat := time.Since(t0)
 	if err != nil {
-		if w.conn != nil {
-			w.conn.Close()
-			w.conn = nil
-		}
+		w.close()
 		w.results = append(w.results, result{latency: lat, wid: int32(w.wid), seq: int32(w.seq), err: true})
 		return
 	}
@@ -314,204 +348,33 @@ func (w *worker) shoot(j int) {
 }
 
 func (w *worker) do(j int) (int, error) {
-	if w.conn == nil {
-		c, err := net.DialTimeout("tcp", w.host, w.timeout)
-		if err != nil {
-			return 0, err
-		}
-		w.conn = c
-		if w.br == nil {
-			w.br = bufio.NewReaderSize(c, 16<<10)
-		} else {
-			w.br.Reset(c)
-		}
-	}
-	if err := w.conn.SetDeadline(time.Now().Add(w.timeout)); err != nil {
+	if err := w.send(w.reqs[j], 16<<10); err != nil {
 		return 0, err
 	}
-	if _, err := w.conn.Write(w.reqs[j]); err != nil {
+	// Parse the head, tally who answered, discard the body in place.
+	if _, err := w.resp.ReadHead(w.br, false); err != nil {
 		return 0, err
 	}
-	return w.readResponse()
-}
-
-func (w *worker) close() {
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
+	if v, ok := w.resp.Header("X-Fleet-Backend"); ok {
+		w.tallyBackend(v)
 	}
-}
-
-// trimCRLF strips the line terminator ReadSlice leaves on.
-func trimCRLF(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-		if n > 1 && b[n-2] == '\r' {
-			b = b[:n-2]
-		}
-	}
-	return b
-}
-
-// headerValue matches a header line against a lowercase name and returns
-// the trimmed value — case-insensitive, allocation-free.
-func headerValue(line []byte, name string) ([]byte, bool) {
-	if len(line) <= len(name) || line[len(name)] != ':' {
-		return nil, false
-	}
-	for i := 0; i < len(name); i++ {
-		c := line[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != name[i] {
-			return nil, false
-		}
-	}
-	return bytes.TrimSpace(line[len(name)+1:]), true
-}
-
-func parseDecimal(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// readResponse consumes exactly one HTTP/1.1 response from the worker's
-// buffered connection: status line, headers (only Content-Length,
-// Transfer-Encoding and Connection matter), then the body, discarded in
-// place. A response without body framing must be terminated by connection
-// close, so the connection is drained and dropped.
-func (w *worker) readResponse() (int, error) {
-	line, err := w.br.ReadSlice('\n')
-	if err != nil {
+	if _, err := io.Copy(io.Discard, &w.resp); err != nil {
 		return 0, err
 	}
-	if len(line) < 12 || !bytes.HasPrefix(line, []byte("HTTP/1.")) {
-		return 0, fmt.Errorf("malformed status line %q", trimCRLF(line))
+	if w.resp.Close {
+		w.close()
 	}
-	status := 0
-	for _, c := range line[9:12] {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("malformed status line %q", trimCRLF(line))
-		}
-		status = status*10 + int(c-'0')
-	}
-	clen := -1
-	chunked, closeAfter := false, false
-	for {
-		h, err := w.br.ReadSlice('\n')
-		if err != nil {
-			return 0, err
-		}
-		h = trimCRLF(h)
-		if len(h) == 0 {
-			break
-		}
-		if v, ok := headerValue(h, "content-length"); ok {
-			n, ok := parseDecimal(v)
-			if !ok {
-				return 0, fmt.Errorf("malformed Content-Length %q", v)
-			}
-			clen = n
-		} else if v, ok := headerValue(h, "x-fleet-backend"); ok {
-			w.tallyBackend(v)
-		} else if v, ok := headerValue(h, "transfer-encoding"); ok {
-			if bytes.EqualFold(v, []byte("chunked")) {
-				chunked = true
-			}
-		} else if v, ok := headerValue(h, "connection"); ok {
-			if bytes.EqualFold(v, []byte("close")) {
-				closeAfter = true
-			}
-		}
-	}
-	switch {
-	case chunked:
-		if err := w.discardChunked(); err != nil {
-			return 0, err
-		}
-	case clen >= 0:
-		if _, err := w.br.Discard(clen); err != nil {
-			return 0, err
-		}
-	default:
-		// No framing: body runs to EOF, connection cannot be reused.
-		closeAfter = true
-		io.Copy(io.Discard, w.br) //nolint:errcheck
-	}
-	if closeAfter {
-		w.conn.Close()
-		w.conn = nil
-	}
-	return status, nil
+	return w.resp.Status, nil
 }
 
-// discardChunked skips a chunked body: size line, chunk bytes + CRLF,
-// repeat; the zero chunk is followed by trailers up to a blank line.
-func (w *worker) discardChunked() error {
-	for {
-		line, err := w.br.ReadSlice('\n')
-		if err != nil {
-			return err
-		}
-		line = trimCRLF(line)
-		n := 0
-		for _, c := range line {
-			switch {
-			case '0' <= c && c <= '9':
-				n = n*16 + int(c-'0')
-			case 'a' <= c && c <= 'f':
-				n = n*16 + int(c-'a') + 10
-			case 'A' <= c && c <= 'F':
-				n = n*16 + int(c-'A') + 10
-			case c == ';': // chunk extension: size already parsed
-			default:
-				return fmt.Errorf("malformed chunk size %q", line)
-			}
-			if c == ';' {
-				break
-			}
-		}
-		if n == 0 {
-			for {
-				t, err := w.br.ReadSlice('\n')
-				if err != nil {
-					return err
-				}
-				if len(trimCRLF(t)) == 0 {
-					return nil
-				}
-			}
-		}
-		if _, err := w.br.Discard(n + 2); err != nil { // chunk + CRLF
-			return err
-		}
-	}
-}
-
-// batchWorker is one closed-loop batch driver: a keep-alive connection
-// speaking the binary wire protocol (internal/wire), one preserialized
-// N-element request frame written per shot, and a result per element
-// timestamped as its header arrives. The frame is immutable after
-// construction, so every worker shares the same bytes.
+// batchWorker is one closed-loop batch driver: a link speaking the binary
+// wire protocol (internal/wire), one preserialized N-element request frame
+// written per shot, and a result per element timestamped as its header
+// arrives. The frame is immutable after construction, so every worker
+// shares the same bytes.
 type batchWorker struct {
-	host    string
-	frame   []byte
-	conn    net.Conn
-	br      *bufio.Reader
-	results []result
-	timeout time.Duration
-	wid     int
-	seq     int
+	link
+	frame []byte
 }
 
 // buildBatchFrame preserializes the wire request frame: cfg.batch elements
@@ -537,31 +400,13 @@ func (w *batchWorker) shoot() {
 	w.seq++
 	t0 := time.Now()
 	if err := w.do(t0); err != nil {
-		if w.conn != nil {
-			w.conn.Close()
-			w.conn = nil
-		}
+		w.close()
 		w.results = append(w.results, result{latency: time.Since(t0), wid: int32(w.wid), seq: int32(w.seq), err: true})
 	}
 }
 
 func (w *batchWorker) do(t0 time.Time) error {
-	if w.conn == nil {
-		c, err := net.DialTimeout("tcp", w.host, w.timeout)
-		if err != nil {
-			return err
-		}
-		w.conn = c
-		if w.br == nil {
-			w.br = bufio.NewReaderSize(c, 64<<10)
-		} else {
-			w.br.Reset(c)
-		}
-	}
-	if err := w.conn.SetDeadline(time.Now().Add(w.timeout)); err != nil {
-		return err
-	}
-	if _, err := w.conn.Write(w.frame); err != nil {
+	if err := w.send(w.frame, 64<<10); err != nil {
 		return err
 	}
 	count, err := wire.ReadResponseHeader(w.br, wire.Limits{})
@@ -580,13 +425,6 @@ func (w *batchWorker) do(t0 time.Time) error {
 		w.results = append(w.results, result{latency: lat, status: status, wid: int32(w.wid), seq: int32(w.seq)})
 	}
 	return nil
-}
-
-func (w *batchWorker) close() {
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
-	}
 }
 
 // buildBatchBody renders the open loop's /v1/batch JSON array once: the
@@ -674,7 +512,7 @@ func run(cfg config, out, errOut io.Writer) int {
 		frame := buildBatchFrame(cfg, bodies)
 		workers := make([]*batchWorker, cfg.conc)
 		for i := range workers {
-			workers[i] = &batchWorker{host: hosts[i%len(hosts)], frame: frame, timeout: cfg.timeout, wid: i}
+			workers[i] = &batchWorker{link: link{host: hosts[i%len(hosts)], timeout: cfg.timeout, wid: i}, frame: frame}
 		}
 		for w := 0; w < cfg.conc; w++ {
 			wg.Add(1)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"net/http"
@@ -446,5 +447,73 @@ func TestResolveTargets(t *testing.T) {
 	}
 	if got := resolveTargets(config{addr: "http://x:9"}); got != "http://x:9" {
 		t.Fatalf("plain addr mangled: %q", got)
+	}
+}
+
+// startCannedServer answers every request on a keep-alive connection with
+// the same raw response bytes — shapes a net/http handler cannot produce
+// on demand, such as an interim 100 ahead of the final response.
+func startCannedServer(t *testing.T, response string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body) //nolint:errcheck
+					if _, err := c.Write([]byte(response)); err != nil {
+						return
+					}
+				}
+			}(c)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestWorkerBodylessAndInterimResponses: a keep-alive 204 has no body to
+// read to EOF, and an interim 100 is not the answer. Either mistake blocks
+// the shot until the client timeout and drops the connection.
+func TestWorkerBodylessAndInterimResponses(t *testing.T) {
+	for _, tc := range []struct {
+		name, response string
+		want           int
+	}{
+		{"204", "HTTP/1.1 204 No Content\r\n\r\n", http.StatusNoContent},
+		{"100-then-200", "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host := startCannedServer(t, tc.response)
+			const timeout = 2 * time.Second
+			wk := newWorker(host, "/v1/simulate", 0, [][]byte{[]byte(`{}`)}, timeout)
+			defer wk.close()
+			wk.shoot(0)
+			wk.shoot(0)
+			for i, r := range wk.results {
+				if r.err || r.status != tc.want {
+					t.Fatalf("result %d = %+v, want status %d", i, r, tc.want)
+				}
+				if r.latency > timeout/2 {
+					t.Fatalf("result %d took %v; the response is complete, nothing should wait for the timeout", i, r.latency)
+				}
+			}
+			if wk.conn == nil {
+				t.Fatal("worker dropped its keep-alive connection")
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 package eval
 
-// flight is a singleflight-style memo: the first caller of a key computes
+// Flight is a singleflight-style memo: the first caller of a key computes
 // the value while later callers block on it; afterwards the value is served
 // from the cache. Errors are cached alongside values — within one process
 // the inputs are deterministic, so recomputing a failed artifact cannot
@@ -51,27 +51,28 @@ type flightCall[V any] struct {
 	err  error
 }
 
-// flight's zero value is ready to use (shards materialize on first access
+// Flight's zero value is ready to use (shards materialize on first access
 // with defaultFlightShards); newFlight pins an explicit shard count, which
-// only tests exercising the striping itself need.
-type flight[K comparable, V any] struct {
+// only tests exercising the striping itself need. The Runner keeps one per
+// artifact cache; the server keeps one for inline-source compiles.
+type Flight[K comparable, V any] struct {
 	once         sync.Once
 	shards       []flightShard[K, V]
 	nshards      int // desired shard count; 0 selects defaultFlightShards
 	hits, misses atomic.Int64
-	// arg labels this flight's wait/own spans in request records (which
+	// Arg labels this flight's wait/own spans in request records (which
 	// artifact cache a request blocked on). Set once at construction,
 	// before any get; ArgNone on flights nobody instruments.
-	arg obs.Arg
+	Arg obs.Arg
 }
 
-func newFlight[K comparable, V any](nshards int) *flight[K, V] {
-	f := &flight[K, V]{nshards: nshards}
+func newFlight[K comparable, V any](nshards int) *Flight[K, V] {
+	f := &Flight[K, V]{nshards: nshards}
 	f.once.Do(f.init)
 	return f
 }
 
-func (f *flight[K, V]) init() {
+func (f *Flight[K, V]) init() {
 	n := f.nshards
 	if n <= 0 {
 		n = defaultFlightShards
@@ -83,13 +84,13 @@ func (f *flight[K, V]) init() {
 	f.shards = make([]flightShard[K, V], p)
 }
 
-func (f *flight[K, V]) shard(k K) *flightShard[K, V] {
+func (f *Flight[K, V]) shard(k K) *flightShard[K, V] {
 	f.once.Do(f.init)
 	h := maphash.Comparable(flightSeed, k)
 	return &f.shards[h&uint64(len(f.shards)-1)]
 }
 
-func (f *flight[K, V]) get(k K, fn func() (V, error)) (V, error) {
+func (f *Flight[K, V]) get(k K, fn func() (V, error)) (V, error) {
 	s := f.shard(k)
 	s.mu.Lock()
 	if s.m == nil {
@@ -110,7 +111,7 @@ func (f *flight[K, V]) get(k K, fn func() (V, error)) (V, error) {
 	return c.val, c.err
 }
 
-// getCtx is get with cancellation: a caller whose context expires while the
+// GetCtx is get with cancellation: a caller whose context expires while the
 // value is computed by another goroutine unblocks immediately with the
 // context's error, and an already-expired context never starts a
 // computation. Real errors are cached like values (deterministic inputs
@@ -118,7 +119,7 @@ func (f *flight[K, V]) get(k K, fn func() (V, error)) (V, error) {
 // talking, not a property of the artifact: the entry is dropped before
 // waiters are released, so the next caller recomputes instead of being
 // served a dead request's timeout forever.
-func (f *flight[K, V]) getCtx(ctx context.Context, k K, fn func() (V, error)) (V, error) {
+func (f *Flight[K, V]) GetCtx(ctx context.Context, k K, fn func() (V, error)) (V, error) {
 	var zero V
 	s := f.shard(k)
 	s.mu.Lock()
@@ -137,7 +138,7 @@ func (f *flight[K, V]) getCtx(ctx context.Context, k K, fn func() (V, error)) (V
 		default:
 		}
 		rec := obs.RecordFrom(ctx)
-		rec.Start(obs.StageSFWait, f.arg)
+		rec.Start(obs.StageSFWait, f.Arg)
 		select {
 		case <-c.done:
 			rec.End()
@@ -156,7 +157,7 @@ func (f *flight[K, V]) getCtx(ctx context.Context, k K, fn func() (V, error)) (V
 	s.mu.Unlock()
 	f.misses.Add(1)
 	rec := obs.RecordFrom(ctx)
-	rec.Start(obs.StageSFOwn, f.arg)
+	rec.Start(obs.StageSFOwn, f.Arg)
 	c.val, c.err = fn()
 	rec.End()
 	if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
@@ -170,8 +171,8 @@ func (f *flight[K, V]) getCtx(ctx context.Context, k K, fn func() (V, error)) (V
 	return c.val, c.err
 }
 
-// len returns the number of cached entries (including in-flight ones).
-func (f *flight[K, V]) len() int {
+// Len returns the number of cached entries (including in-flight ones).
+func (f *Flight[K, V]) Len() int {
 	f.once.Do(f.init)
 	n := 0
 	for i := range f.shards {
@@ -183,9 +184,11 @@ func (f *flight[K, V]) len() int {
 	return n
 }
 
-// reset drops every cached entry. It must not race with get: callers reset
-// between sweeps, not during one.
-func (f *flight[K, V]) reset() {
+// Reset drops every cached entry. It may run during concurrent fills:
+// callers already waiting on an in-flight entry still receive its owner's
+// result, but that result is not retained, and a caller arriving after the
+// reset computes the key again. No caller ever sees another key's value.
+func (f *Flight[K, V]) Reset() {
 	f.once.Do(f.init)
 	for i := range f.shards {
 		s := &f.shards[i]

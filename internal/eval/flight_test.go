@@ -37,12 +37,12 @@ func TestFlightShardWaiterAbandons(t *testing.T) {
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			defer cancel()
-			if _, err := f.getCtx(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := f.GetCtx(ctx, 1, func() (int, error) { return 0, nil }); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("waiter err = %v, want DeadlineExceeded", err)
 			}
 
 			close(block)
-			v, err := f.getCtx(context.Background(), 1, func() (int, error) {
+			v, err := f.GetCtx(context.Background(), 1, func() (int, error) {
 				t.Error("recompute after the owner cached the value")
 				return 0, nil
 			})
@@ -64,7 +64,7 @@ func TestFlightShardOwnerExpires(t *testing.T) {
 			// striping is real.
 			for k := 0; k < 8; k++ {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-				_, err := f.getCtx(ctx, k, func() (int, error) {
+				_, err := f.GetCtx(ctx, k, func() (int, error) {
 					<-ctx.Done()
 					return 0, fmt.Errorf("build: %w", ctx.Err())
 				})
@@ -73,11 +73,11 @@ func TestFlightShardOwnerExpires(t *testing.T) {
 					t.Fatalf("key %d: owner err = %v, want DeadlineExceeded", k, err)
 				}
 			}
-			if got := f.len(); got != 0 {
+			if got := f.Len(); got != 0 {
 				t.Fatalf("cache holds %d entries after owner-expired computations", got)
 			}
 			for k := 0; k < 8; k++ {
-				v, err := f.getCtx(context.Background(), k, func() (int, error) { return 100 + k, nil })
+				v, err := f.GetCtx(context.Background(), k, func() (int, error) { return 100 + k, nil })
 				if err != nil || v != 100+k {
 					t.Fatalf("key %d: recompute = %d, %v; want %d, nil", k, v, err, 100+k)
 				}
@@ -99,7 +99,7 @@ func TestFlightShardCountInvisible(t *testing.T) {
 		afterReset int
 	}
 	boom := errors.New("boom")
-	drive := func(f *flight[int, int]) observed {
+	drive := func(f *Flight[int, int]) observed {
 		o := observed{vals: map[int]int{}, errs: map[int]string{}}
 		// 32 keys, even ones succeed, odd ones fail; each looked up 3 times
 		// (1 miss + 2 hits per key, cached errors included).
@@ -119,9 +119,9 @@ func TestFlightShardCountInvisible(t *testing.T) {
 			}
 		}
 		o.hits, o.misses = f.hits.Load(), f.misses.Load()
-		o.size = f.len()
-		f.reset()
-		o.afterReset = f.len()
+		o.size = f.Len()
+		f.Reset()
+		o.afterReset = f.Len()
 		return o
 	}
 
@@ -155,7 +155,7 @@ func TestFlightShardCountInvisible(t *testing.T) {
 	}
 
 	// The zero value (implicit default shard count) matches too.
-	var zf flight[int, int]
+	var zf Flight[int, int]
 	if got := drive(&zf); got.hits != base.hits || got.misses != base.misses || got.size != base.size {
 		t.Errorf("zero-value flight observables diverge: %+v != %+v", got, base)
 	}
@@ -190,9 +190,49 @@ func TestFlightShardConcurrentSingleflight(t *testing.T) {
 			if got := computes.Load(); got != 8 {
 				t.Errorf("computed %d times for 8 keys; singleflight broken", got)
 			}
-			if got := f.len(); got != 8 {
+			if got := f.Len(); got != 8 {
 				t.Errorf("len = %d, want 8", got)
 			}
 		})
+	}
+}
+
+// TestFlightResetDuringFills: Reset may run while fills are in flight (the
+// server's capped source cache resets that way). Every caller still gets
+// its own key's value, and once the resets stop the cache refills.
+func TestFlightResetDuringFills(t *testing.T) {
+	var f Flight[int, int]
+	var wg sync.WaitGroup
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				f.Reset()
+			}
+		}
+	}()
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % 8
+				v, err := f.GetCtx(context.Background(), k, func() (int, error) { return k * 10, nil })
+				if err != nil || v != k*10 {
+					t.Errorf("key %d = %d, %v; want %d, nil", k, v, err, k*10)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+	if v, err := f.GetCtx(context.Background(), 3, func() (int, error) { return 30, nil }); err != nil || v != 30 || f.Len() == 0 {
+		t.Fatalf("after the resets: key 3 = %d, %v; len %d", v, err, f.Len())
 	}
 }

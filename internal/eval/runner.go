@@ -98,10 +98,10 @@ type Runner struct {
 	busy     *obs.Counter   // summed worker busy time, ns
 	span     *obs.Counter   // summed parallelFor wall spans, ns
 
-	builds flight[string, *buildArtifact]
-	forms  flight[formKey, *prog.Program]
-	scheds flight[CellKey, *schedArtifact]
-	cells  flight[CellKey, Cell]
+	builds Flight[string, *buildArtifact]
+	forms  Flight[formKey, *prog.Program]
+	scheds Flight[CellKey, *schedArtifact]
+	cells  Flight[CellKey, Cell]
 
 	// caches is the metrics/Reset view over the four flights above, built
 	// once at construction — CacheStats and the registry gauges iterate it
@@ -122,10 +122,10 @@ func NewRunner(workers int) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r := &Runner{workers: workers}
-	r.builds.arg = obs.ArgBuilds
-	r.forms.arg = obs.ArgForms
-	r.scheds.arg = obs.ArgScheds
-	r.cells.arg = obs.ArgCells
+	r.builds.Arg = obs.ArgBuilds
+	r.forms.Arg = obs.ArgForms
+	r.scheds.Arg = obs.ArgScheds
+	r.cells.Arg = obs.ArgCells
 	r.caches = []namedCache{
 		{"builds", view(&r.builds)},
 		{"forms", view(&r.forms)},
@@ -177,12 +177,12 @@ type namedCache struct {
 	cacheView
 }
 
-func view[K comparable, V any](f *flight[K, V]) cacheView {
+func view[K comparable, V any](f *Flight[K, V]) cacheView {
 	return cacheView{
-		size:   f.len,
+		size:   f.Len,
 		hits:   f.hits.Load,
 		misses: f.misses.Load,
-		reset:  f.reset,
+		reset:  f.Reset,
 	}
 }
 
@@ -269,7 +269,7 @@ func (r *Runner) build(b workload.Benchmark) (*buildArtifact, error) {
 }
 
 func (r *Runner) buildCtx(ctx context.Context, b workload.Benchmark) (*buildArtifact, error) {
-	return r.builds.getCtx(ctx, b.Name, func() (*buildArtifact, error) {
+	return r.builds.GetCtx(ctx, b.Name, func() (*buildArtifact, error) {
 		rec := obs.RecordFrom(ctx)
 		rec.Start(obs.StageCompile, obs.ArgBuilds)
 		defer rec.End()
@@ -290,7 +290,7 @@ func (r *Runner) buildCtx(ctx context.Context, b workload.Benchmark) (*buildArti
 // options, formed once per (benchmark, options) pair.
 func (r *Runner) formed(ctx context.Context, b workload.Benchmark, sbo superblock.Options) (*prog.Program, error) {
 	sbo = sbo.WithDefaults()
-	return r.forms.getCtx(ctx, formKey{b.Name, sbo}, func() (*prog.Program, error) {
+	return r.forms.GetCtx(ctx, formKey{b.Name, sbo}, func() (*prog.Program, error) {
 		art, err := r.buildCtx(ctx, b)
 		if err != nil {
 			return nil, err
@@ -315,7 +315,7 @@ func (r *Runner) formed(ctx context.Context, b workload.Benchmark, sbo superbloc
 func (r *Runner) scheduled(ctx context.Context, b workload.Benchmark, md machine.Desc, sbo superblock.Options) (*schedArtifact, error) {
 	md = md.CompileView()
 	key := CellKey{b.Name, md, sbo.WithDefaults()}
-	return r.scheds.getCtx(ctx, key, func() (*schedArtifact, error) {
+	return r.scheds.GetCtx(ctx, key, func() (*schedArtifact, error) {
 		f, err := r.formed(ctx, b, sbo)
 		if err != nil {
 			return nil, err
@@ -346,7 +346,7 @@ func (r *Runner) Measure(b workload.Benchmark, md machine.Desc, sbo superblock.O
 // coalesce onto it).
 func (r *Runner) MeasureCtx(ctx context.Context, b workload.Benchmark, md machine.Desc, sbo superblock.Options) (Cell, error) {
 	key := CellKey{b.Name, md, sbo.WithDefaults()}
-	return r.cells.getCtx(ctx, key, func() (Cell, error) {
+	return r.cells.GetCtx(ctx, key, func() (Cell, error) {
 		var t0 time.Time
 		if r.cellTime != nil {
 			t0 = time.Now()

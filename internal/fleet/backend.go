@@ -1,41 +1,44 @@
 package fleet
 
-// Per-backend state: the pooled HTTP client for the proxied hop, the pooled
-// wire-protocol connections, and the health view the eligibility predicate
-// reads on every routing decision.
+// Per-backend state: the pooled raw HTTP/1.1 connections every proxied hop
+// and probe uses, the pooled wire-protocol connections, and the health view
+// the eligibility predicate reads on every routing decision.
 //
 // Health is two signals, updated two ways. The prober polls /readyz: 200
 // means ready, a 503 "draining" body means the backend is shutting down
 // gracefully (alive — it finishes what it holds — but must receive no new
 // keys), anything else means not ready. The proxy path adds a reactive
-// edge: a connect failure marks the backend not-ready immediately, without
-// waiting out a probe interval, so the retry-with-reroute and every
+// edge: a failed fresh dial marks the backend not-ready immediately,
+// without waiting out a probe interval, so the retry-with-reroute and every
 // subsequent routing decision steer around it at once; the prober's next
 // 200 brings it back. Backends start optimistically ready so the router
 // serves before the first probe completes.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"io"
-	"net"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"sentinel/internal/obs"
+	"sentinel/internal/rawhttp"
 	"sentinel/internal/wire"
+)
+
+// Connection limits for every backend.
+const (
+	dialTimeout  = 2 * time.Second
+	httpPoolSize = 64 // idle raw HTTP/1.1 connections
+	wirePoolSize = 4  // idle wire-protocol connections
 )
 
 // backend is one sentineld process behind the router.
 type backend struct {
 	addr string // host:port, as configured (ring placement hashes this)
-	base string // "http://" + addr
 
-	client   *http.Client   // probe + streaming-hop client (net/http)
-	wirePool chan *wireConn // idle wire-protocol connections
-	httpPool chan *wireConn // idle raw HTTP/1.1 connections (cache-miss hop)
+	httpConns *rawhttp.Pool // proxied HTTP hops and /readyz probes
+	wireConns *rawhttp.Pool // wire-protocol exchanges
 
 	ready    atomic.Bool  // last probe (or reactive edge) verdict
 	draining atomic.Bool  // /readyz said "draining"
@@ -50,23 +53,13 @@ type backend struct {
 }
 
 // newBackend builds the backend handle and its connection pools.
-func newBackend(addr string, dialTimeout time.Duration, wirePoolSize, httpPoolSize int) *backend {
+func newBackend(addr string) *backend {
 	b := &backend{
-		addr:     addr,
-		base:     "http://" + addr,
-		wirePool: make(chan *wireConn, wirePoolSize),
-		httpPool: make(chan *wireConn, httpPoolSize),
-		hashed:   new(obs.Counter),
-		spilled:  new(obs.Counter),
-	}
-	dialer := &net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}
-	b.client = &http.Client{
-		Transport: &http.Transport{
-			DialContext:         dialer.DialContext,
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		},
+		addr:      addr,
+		httpConns: rawhttp.NewPool(addr, httpPoolSize, 8<<10, dialTimeout),
+		wireConns: rawhttp.NewPool(addr, wirePoolSize, wire.SniffBufSize, dialTimeout),
+		hashed:    new(obs.Counter),
+		spilled:   new(obs.Counter),
 	}
 	b.ready.Store(true)
 	return b
@@ -74,83 +67,6 @@ func newBackend(addr string, dialTimeout time.Duration, wirePoolSize, httpPoolSi
 
 // eligible reports whether new keys may route here.
 func (b *backend) eligible() bool { return b.ready.Load() && !b.draining.Load() }
-
-// close tears down all three pools.
-func (b *backend) close() {
-	b.client.CloseIdleConnections()
-	for _, pool := range []chan *wireConn{b.wirePool, b.httpPool} {
-	drain:
-		for {
-			select {
-			case wc := <-pool:
-				wc.conn.Close()
-			default:
-				break drain
-			}
-		}
-	}
-}
-
-// wireConn is one pooled wire-protocol connection to a backend. An exchange
-// owns the connection exclusively (the protocol is sequential per
-// connection); a connection that sees any transport or framing error is
-// closed instead of returned.
-type wireConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-}
-
-// getWire returns an idle pooled connection or dials a fresh one. pooled
-// tells the caller whether a failure might just be a stale keep-alive (the
-// backend closed it under the pool's feet) rather than a dead backend.
-func (b *backend) getWire(dialTimeout time.Duration) (wc *wireConn, pooled bool, err error) {
-	select {
-	case wc := <-b.wirePool:
-		return wc, true, nil
-	default:
-	}
-	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
-	if err != nil {
-		return nil, false, err
-	}
-	return &wireConn{conn: conn, br: bufio.NewReaderSize(conn, wire.SniffBufSize)}, false, nil
-}
-
-// putWire returns a healthy connection to the pool (closing it when full).
-func (b *backend) putWire(wc *wireConn) {
-	wc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	select {
-	case b.wirePool <- wc:
-	default:
-		wc.conn.Close()
-	}
-}
-
-// getHTTP returns an idle raw HTTP/1.1 connection or dials a fresh one —
-// the cache-miss hop's analogue of getWire, with the same pooled-vs-fresh
-// distinction driving stale-keep-alive retries.
-func (b *backend) getHTTP(dialTimeout time.Duration) (hc *wireConn, pooled bool, err error) {
-	select {
-	case hc := <-b.httpPool:
-		return hc, true, nil
-	default:
-	}
-	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
-	if err != nil {
-		return nil, false, err
-	}
-	return &wireConn{conn: conn, br: bufio.NewReaderSize(conn, 8<<10)}, false, nil
-}
-
-// putHTTP returns a healthy raw connection to the pool (closing when full).
-func (b *backend) putHTTP(hc *wireConn) {
-	hc.conn.SetDeadline(time.Time{}) //nolint:errcheck
-	select {
-	case b.httpPool <- hc:
-	default:
-		hc.conn.Close()
-	}
-}
 
 // probeLoop polls every backend until stop closes. One goroutine per
 // router; backends are probed concurrently within a round so one hung
@@ -175,16 +91,17 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// probe polls one backend's /readyz and folds the verdict into its health
-// state, logging transitions.
+// probe polls one backend's /readyz over the hop's own pool and folds the
+// verdict into its health state, logging transitions.
 func (rt *Router) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return
+	var resp rawhttp.Response
+	req := rawhttp.AppendRequest(nil, "GET", "/readyz", "", b.addr, nil, nil)
+	c, err := b.httpConns.Do(context.Background(), time.Now().Add(rt.cfg.ProbeTimeout), req, false, &resp)
+	var body []byte
+	if err == nil {
+		body, err = resp.AppendBody(nil, maxRawRespBytes)
+		b.httpConns.Release(c, &resp)
 	}
-	resp, err := b.client.Do(req)
 	if err != nil {
 		if int(b.failures.Add(1)) >= rt.cfg.FailureThreshold && b.ready.Swap(false) {
 			rt.logf("fleet: backend %s unhealthy (%d consecutive probe failures): %v",
@@ -192,10 +109,8 @@ func (rt *Router) probe(b *backend) {
 		}
 		return
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, drainSniffBytes))
-	resp.Body.Close()
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case resp.Status == http.StatusOK:
 		b.failures.Store(0)
 		wasDraining := b.draining.Swap(false)
 		if !b.ready.Swap(true) || wasDraining {
@@ -212,17 +127,11 @@ func (rt *Router) probe(b *backend) {
 		// failure threshold — the backend itself said not-ready).
 		b.failures.Store(0)
 		if b.ready.Swap(false) {
-			rt.logf("fleet: backend %s not ready (%d %s)", b.addr, resp.StatusCode,
+			rt.logf("fleet: backend %s not ready (%d %s)", b.addr, resp.Status,
 				bytes.TrimSpace(body))
 		}
 	}
 }
-
-// drainSniffBytes bounds how much of a refusal body the draining sniff
-// reads — comfortably past any envelope the backends synthesize, so the
-// marker cannot be truncated away (the old 64-byte limit could miss it in
-// a padded envelope).
-const drainSniffBytes = 4096
 
 // isDrainingBody reports whether a /readyz or refusal body marks a
 // draining backend: the plain-text "draining" readiness body, or the
@@ -233,8 +142,8 @@ func isDrainingBody(body []byte) bool {
 		bytes.Contains(body, []byte(`"draining"`))
 }
 
-// noteDialFailure is the reactive unhealthy edge: a proxied hop that could
-// not connect marks the backend down now, so the current request's retry
+// noteDialFailure is the reactive unhealthy edge: a hop whose fresh dial
+// failed marks the backend down now, so the current request's retry
 // and every following routing decision avoid it until a probe succeeds.
 func (rt *Router) noteDialFailure(b *backend) {
 	b.failures.Store(int32(rt.cfg.FailureThreshold))

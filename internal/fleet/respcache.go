@@ -36,7 +36,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -240,31 +239,4 @@ func rawRequestKey(path, rawQuery string, body []byte) fingerprint.Key {
 		fpScratchPool.Put(sp)
 	}
 	return k
-}
-
-// bodyBuf is the pooled request-body scratch for the proxy path: the
-// accumulation buffer and the limit reader bounding it, recycled per
-// request so the per-proxy io.ReadAll allocation is gone from the warm
-// path.
-type bodyBuf struct {
-	buf bytes.Buffer
-	lim io.LimitedReader
-}
-
-var bodyBufPool = sync.Pool{New: func() any { return new(bodyBuf) }}
-
-func getBodyBuf() *bodyBuf {
-	b := bodyBufPool.Get().(*bodyBuf)
-	b.buf.Reset()
-	return b
-}
-
-// putBodyBuf recycles the scratch; buffers grown past 1 MiB are dropped so
-// one oversized body cannot pin memory in the pool.
-func putBodyBuf(b *bodyBuf) {
-	b.lim.R = nil
-	if b.buf.Cap() > 1<<20 {
-		return
-	}
-	bodyBufPool.Put(b)
 }

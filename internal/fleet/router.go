@@ -28,6 +28,8 @@ import (
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,6 +37,7 @@ import (
 
 	"sentinel/internal/fingerprint"
 	"sentinel/internal/obs"
+	"sentinel/internal/rawhttp"
 	"sentinel/internal/server"
 	"sentinel/internal/wire"
 )
@@ -61,21 +64,10 @@ type Config struct {
 	// backend unhealthy (default 2; connect failures on the proxy path
 	// mark it immediately).
 	FailureThreshold int
-	// DialTimeout bounds connection establishment to a backend (default 2s).
-	DialTimeout time.Duration
-	// RequestTimeout bounds one proxied wire exchange and one raw
-	// cache-miss hop (default 30s; the streaming net/http hop inherits the
-	// client's context instead).
+	// RequestTimeout bounds one exchange with a backend: a proxied HTTP hop,
+	// the streamed /v1/batch relay included, or a wire exchange (default
+	// 30s). A client's own deadline or cancellation ends a hop sooner.
 	RequestTimeout time.Duration
-	// WirePoolSize is the idle wire-connection pool per backend (default 4).
-	WirePoolSize int
-	// HTTPPoolSize is the idle raw HTTP/1.1 connection pool per backend for
-	// the cache-miss proxied hop (default 64, matching the old net/http
-	// transport's per-host cap).
-	HTTPPoolSize int
-	// MaxBodyBytes bounds a proxied request body (default 4 MiB, matching
-	// the backends' own limit).
-	MaxBodyBytes int
 	// RespCacheEntries bounds the router's front response cache (0 selects
 	// the default 4096, matching the backends; negative disables caching so
 	// every request crosses the proxied hop).
@@ -107,20 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.FailureThreshold == 0 {
 		c.FailureThreshold = 2
 	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.WirePoolSize == 0 {
-		c.WirePoolSize = 4
-	}
-	if c.HTTPPoolSize == 0 {
-		c.HTTPPoolSize = 64
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	return c
 }
@@ -181,7 +161,7 @@ func New(cfg Config) (*Router, error) {
 		rt.flight = newFillGroup()
 	}
 	for _, addr := range cfg.Backends {
-		rt.backends = append(rt.backends, newBackend(addr, cfg.DialTimeout, cfg.WirePoolSize, cfg.HTTPPoolSize))
+		rt.backends = append(rt.backends, newBackend(addr))
 	}
 	rt.eligible = func(i int) bool { return rt.backends[i].eligible() }
 
@@ -306,7 +286,8 @@ func (rt *Router) Close() {
 		close(rt.stopProbe)
 		rt.probeWG.Wait()
 		for _, b := range rt.backends {
-			b.close()
+			b.httpConns.Close()
+			b.wireConns.Close()
 		}
 	})
 }
@@ -420,13 +401,6 @@ func (rt *Router) reroute(k fingerprint.Key, spilled bool, failed int) int {
 	return rt.ring.pick(ringHash(k), failed, rt.eligible)
 }
 
-// hopHeaders are the HTTP/1.1 connection-scoped headers that must not cross
-// the proxied hop.
-var hopHeaders = [...]string{
-	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
-}
-
 // fleetBackendHeader names the backend that answered a proxied request.
 const fleetBackendHeader = "X-Fleet-Backend"
 
@@ -446,21 +420,6 @@ func writeEnvelope(w http.ResponseWriter, status int, kind, msg string) {
 // element-level synthesis.
 func envelopeBody(kind, msg string) []byte {
 	return []byte(fmt.Sprintf("{\"error\":{\"kind\":%q,\"message\":%q}}\n", kind, msg))
-}
-
-// rawProxyable reports whether the cache-miss hop may use the raw pooled
-// HTTP/1.1 client: the three deterministic API endpoints, whose responses
-// are bounded and replayable. /v1/batch must stream element by element —
-// exactly what response buffering forbids — and unknown paths are rare
-// enough not to matter; both keep the net/http hop.
-func rawProxyable(method, path string) bool {
-	switch path {
-	case "/v1/simulate", "/v1/schedule":
-		return method == http.MethodPost
-	case "/v1/figures":
-		return method == http.MethodGet
-	}
-	return false
 }
 
 // proxy is the catch-all handler: front-cache probe, fingerprint, route,
@@ -483,30 +442,28 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	clientID := r.Header.Get(requestIDHeader)
 
 	// Slurp the body into pooled scratch: the fingerprint needs its bytes,
-	// and the retry needs to replay them. A body over the limit is forwarded
-	// as a spliced stream — the backend's own MaxBytesReader produces the
-	// canonical refusal — but cannot be retried or cached.
+	// and the retry needs to replay them. A body over the backends' limit is
+	// cut to its first limit+1 bytes: the backend's MaxBytesReader never
+	// reads further, so its refusal is the one a direct call gets. Such a
+	// body is never cached.
+	ps := hopScratchPool.Get().(*hopScratch)
+	defer putHopScratch(ps)
+	ps.in.Reset()
 	var body []byte
-	var overflow io.Reader
 	if r.Body != nil && r.Body != http.NoBody {
-		bb := getBodyBuf()
-		defer putBodyBuf(bb)
-		bb.lim = io.LimitedReader{R: r.Body, N: int64(rt.cfg.MaxBodyBytes) + 1}
-		if _, err := bb.buf.ReadFrom(&bb.lim); err != nil {
+		ps.lim = io.LimitedReader{R: r.Body, N: server.MaxBodyBytes + 1}
+		if _, err := ps.in.ReadFrom(&ps.lim); err != nil {
 			writeEnvelope(w, http.StatusBadRequest, "bad_request", "fleet: reading request body: "+err.Error())
 			return
 		}
-		body = bb.buf.Bytes()
-		if len(body) > rt.cfg.MaxBodyBytes {
-			overflow = r.Body
-		}
+		body = ps.in.Bytes()
 	}
 
 	// Warm fast path: a byte-identical repeat of an already-proxied request
 	// is answered from the front cache with one Write — before routing, the
 	// timeout context, or any backend traffic. Head-sampled like the
 	// backends' own warm path: an unsampled hit records nothing.
-	probeable := overflow == nil && rt.resp != nil && cacheProbeable(r.Method, r.URL.Path, body)
+	probeable := rt.resp != nil && len(body) <= server.MaxBodyBytes && cacheProbeable(r.Method, r.URL.Path, body)
 	var rd *obs.Record
 	var rawK fingerprint.Key
 	if probeable {
@@ -623,46 +580,83 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	if spilled {
 		arg = obs.ArgSpilled
 	}
-	if overflow == nil && rawProxyable(r.Method, r.URL.Path) {
-		status = rt.proxyRaw(w, r, rd, arg, key, rawK, canonK, canonOK, fill, body, idx, spilled)
-	} else {
-		// The net/http transport's write loop may still be draining the
-		// request reader after Do returns; hand it a private copy so the
-		// pooled slurp can be recycled safely.
-		status = rt.proxyStream(w, r, rd, arg, key, append([]byte(nil), body...), overflow, idx, spilled)
-	}
+	status = rt.forward(w, r, ps, rd, arg, key, rawK, canonK, canonOK, fill, body, idx, spilled)
 	if rt.reqTime != nil {
 		rt.reqTime.Observe(time.Since(t0).Nanoseconds())
 	}
 }
 
-// proxyRaw is the cache-miss hop for the deterministic API endpoints: one
-// raw HTTP/1.1 exchange over the per-backend keep-alive pool, the whole
-// response buffered before relay so the bounded retry stays simple (nothing
-// reaches the client until a hop has fully succeeded). A 200 under a trusted
-// canonical key fills the front cache and resolves the singleflight.
-func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Record, arg obs.Arg,
+// maxRawRespBytes bounds one buffered backend response (far above any real
+// envelope or figures render; a response past it is a hop error).
+const maxRawRespBytes = 64 << 20
+
+// hopScratch pools the byte workspaces of one proxied request, so the
+// warm path allocates nothing for them: the slurped request body and the
+// reader bounding it, the request frame, the response head, and the
+// buffered response body (or the streamed relay's buffer).
+type hopScratch struct {
+	in   bytes.Buffer
+	lim  io.LimitedReader
+	req  []byte
+	body []byte
+	resp rawhttp.Response
+}
+
+var hopScratchPool = sync.Pool{New: func() any { return new(hopScratch) }}
+
+// putHopScratch recycles the scratch; one grown past 1 MiB is dropped so a
+// single huge request or response cannot pin memory in the pool.
+func putHopScratch(ps *hopScratch) {
+	ps.lim.R = nil
+	if ps.in.Cap()+cap(ps.req)+cap(ps.body) <= 1<<20 {
+		hopScratchPool.Put(ps)
+	}
+}
+
+// forward is every request's hop to a backend: one raw HTTP/1.1 exchange
+// over the backend's keep-alive pool, with one bounded retry. The response
+// is buffered whole before relay, so nothing reaches the client until a
+// hop has fully succeeded and a failure or draining refusal can still
+// reroute; a 200 under a trusted canonical key fills the front cache and
+// resolves the singleflight. The one exception is a 200 /v1/batch stream,
+// relayed read by read and flushed so elements keep their progress.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ps *hopScratch, rd *obs.Record, arg obs.Arg,
 	key, rawK, canonK fingerprint.Key, canonOK bool, fill *fillCall, body []byte, idx int, spilled bool) int {
-	ps := getRawScratch()
-	defer putRawScratch(ps)
-	const maxAttempts = 2 // first hop + one reroute
+	ctx, res := r.Context(), &ps.resp
+	deadline := time.Now().Add(rt.cfg.RequestTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	head, stream := r.Method == http.MethodHead, r.URL.Path == "/v1/batch"
 	for attempt := 0; ; attempt++ {
 		b := rt.backends[idx]
 		b.inflight.Add(1)
 		rd.Start(obs.StageProxy, arg)
-		buildRawRequest(ps, r, b.addr, body)
-		res, err := rt.rawSend(b, r, ps)
+		ps.req = rawhttp.AppendRequest(ps.req[:0], r.Method, r.URL.EscapedPath(), r.URL.RawQuery, b.addr, r.Header, body)
+		c, err := b.httpConns.Do(ctx, deadline, ps.req, head, res)
+		if err == nil && stream && res.Status == http.StatusOK {
+			relayStream(w, res, ps, b.addr)
+			b.httpConns.Release(c, res)
+			rd.End()
+			b.inflight.Add(-1)
+			return res.Status
+		}
+		if err == nil {
+			ps.body, err = res.AppendBody(ps.body[:0], maxRawRespBytes)
+			b.httpConns.Release(c, res)
+		}
 		rd.End()
 		b.inflight.Add(-1)
 		if err != nil {
 			// Only a fresh dial failure marks the backend down (a stale pooled
-			// connection already redialed inside rawSend); any hop failure may
-			// reroute once — nothing has been written to the client.
-			var dial *rawDialError
+			// connection already redialed inside Do); any other failure may
+			// reroute once — nothing has been written to the client — unless
+			// the client itself has gone.
+			var dial *rawhttp.DialError
 			if errors.As(err, &dial) {
 				rt.noteDialFailure(b)
 			}
-			if attempt+1 < maxAttempts {
+			if attempt == 0 && ctx.Err() == nil {
 				if next := rt.reroute(key, spilled, idx); next >= 0 {
 					rt.retries.Inc()
 					rt.countRoute(next, spilled)
@@ -678,7 +672,7 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 		// A draining backend refused after the probe window: treat its 503
 		// envelope like a connect failure and reroute, once. Not draining (or
 		// nowhere to go): the refusal relays verbatim below.
-		if res.status == http.StatusServiceUnavailable && attempt+1 < maxAttempts && isDrainingBody(res.body) {
+		if res.Status == http.StatusServiceUnavailable && attempt == 0 && isDrainingBody(ps.body) {
 			if !b.draining.Swap(true) {
 				rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
 			}
@@ -689,81 +683,58 @@ func (rt *Router) proxyRaw(w http.ResponseWriter, r *http.Request, rd *obs.Recor
 				continue
 			}
 		}
-		if canonOK && res.status == http.StatusOK {
+		ctype, _ := res.Header("Content-Type")
+		if canonOK && res.Status == http.StatusOK {
 			// Fill both lanes with one immutable copy (the scratch bytes are
 			// recycled); the singleflight hands waiters the same copy. Only
 			// 200 envelopes are stored — a refusal is never memoized.
-			cbody := append([]byte(nil), res.body...)
-			ctype := ps.findHeader("content-type")
+			cbody, ctype := append([]byte(nil), ps.body...), string(ctype)
 			rt.resp.Put(canonK, cbody, ctype)
 			rt.resp.Put(rawK, cbody, ctype)
 			rt.flight.resolve(canonK, fill, cbody, ctype, true)
 		}
-		relayRaw(w, ps, res, b.addr)
-		return res.status
+		n := int64(len(ps.body))
+		if head && res.ContentLength >= 0 {
+			n = res.ContentLength
+		}
+		relayHead(w, res, b.addr, n)
+		w.Write(ps.body) //nolint:errcheck // client gone; nothing left to do
+		return res.Status
 	}
 }
 
-// proxyStream is the net/http hop for everything the raw path cannot carry:
-// /v1/batch (flushed element by element), over-limit spliced bodies, and
-// unknown paths. Semantics are unchanged from before the raw hop existed.
-func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, rd *obs.Record, arg obs.Arg,
-	key fingerprint.Key, body []byte, overflow io.Reader, idx int, spilled bool) int {
-	const maxAttempts = 2 // first hop + one reroute
-	for attempt := 0; ; attempt++ {
-		b := rt.backends[idx]
-		b.inflight.Add(1)
-		rd.Start(obs.StageProxy, arg)
-		resp, err := rt.send(b, r, body, overflow)
+// relayHead writes a backend response's end-to-end headers and status to
+// the client, tagging the answering backend. An explicit Content-Length
+// (n >= 0) settles the relayed framing; a de-chunked body is the same
+// bytes under it.
+func relayHead(w http.ResponseWriter, res *rawhttp.Response, addr string, n int64) {
+	h := w.Header()
+	res.CopyHeader(h)
+	h.Set(fleetBackendHeader, addr)
+	if n >= 0 {
+		h.Set("Content-Length", strconv.FormatInt(n, 10))
+	}
+	w.WriteHeader(res.Status)
+}
+
+// relayStream relays a streamed response body, flushing after every read
+// so a batch's elements reach the client as the backend produces them.
+func relayStream(w http.ResponseWriter, res *rawhttp.Response, ps *hopScratch, addr string) {
+	relayHead(w, res, addr, res.ContentLength)
+	rc := http.NewResponseController(w)
+	ps.body = slices.Grow(ps.body[:0], 32<<10)
+	buf := ps.body[:cap(ps.body)]
+	for {
+		n, err := res.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return
+			}
+			rc.Flush() //nolint:errcheck // best-effort streaming
+		}
 		if err != nil {
-			rd.End()
-			b.inflight.Add(-1)
-			rt.noteDialFailure(b)
-			// Reroute once: safe because every proxied op is idempotent and
-			// replayable from the slurped body (an overflowing body already
-			// fed its stream to the dead hop, so it cannot be replayed).
-			if attempt+1 < maxAttempts && overflow == nil {
-				if next := rt.reroute(key, spilled, idx); next >= 0 {
-					rt.retries.Inc()
-					rt.countRoute(next, spilled)
-					idx = next
-					continue
-				}
-			}
-			rt.proxyErrs.Inc()
-			writeEnvelope(w, http.StatusServiceUnavailable, "unavailable",
-				fmt.Sprintf("fleet: backend %s unreachable: %v", b.addr, err))
-			return http.StatusServiceUnavailable
+			return
 		}
-		// A draining backend refused after the probe window: treat its 503
-		// envelope like a connect failure and reroute, once.
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt+1 < maxAttempts && overflow == nil {
-			refusal, _ := io.ReadAll(io.LimitReader(resp.Body, drainSniffBytes))
-			resp.Body.Close()
-			rd.End()
-			b.inflight.Add(-1)
-			if isDrainingBody(refusal) {
-				if !b.draining.Swap(true) {
-					rt.logf("fleet: backend %s draining; rerouting new keys", b.addr)
-				}
-				if next := rt.reroute(key, spilled, idx); next >= 0 {
-					rt.retries.Inc()
-					rt.countRoute(next, spilled)
-					idx = next
-					continue
-				}
-			}
-			// Not draining (or nowhere to go): relay the refusal verbatim.
-			relayHead(w, resp, b.addr, int64(len(refusal)))
-			w.Write(refusal) //nolint:errcheck
-			return resp.StatusCode
-		}
-		relayHead(w, resp, b.addr, resp.ContentLength)
-		flushCopy(w, resp.Body)
-		resp.Body.Close()
-		rd.End()
-		b.inflight.Add(-1)
-		return resp.StatusCode
 	}
 }
 
@@ -790,77 +761,6 @@ func (rt *Router) countRoute(idx int, spilled bool) {
 	} else {
 		rt.hashes.Inc()
 		rt.backends[idx].hashed.Inc()
-	}
-}
-
-// send performs one proxied hop. The body is replayed from the slurped
-// bytes; an overflowing body splices the unread remainder onto the stream.
-func (rt *Router) send(b *backend, r *http.Request, body []byte, overflow io.Reader) (*http.Response, error) {
-	var rdr io.Reader = bytes.NewReader(body)
-	if overflow != nil {
-		rdr = io.MultiReader(bytes.NewReader(body), overflow)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.base+r.URL.RequestURI(), rdr)
-	if err != nil {
-		return nil, err
-	}
-	if overflow == nil {
-		req.ContentLength = int64(len(body))
-	} else {
-		req.ContentLength = -1
-	}
-	for name, vals := range r.Header {
-		if isHopHeader(name) {
-			continue
-		}
-		req.Header[name] = vals
-	}
-	return b.client.Do(req)
-}
-
-func isHopHeader(name string) bool {
-	for _, h := range hopHeaders {
-		if strings.EqualFold(name, h) {
-			return true
-		}
-	}
-	return false
-}
-
-// relayHead copies the backend response's headers and status to the client,
-// tagging the answering backend. An explicit Content-Length (when known)
-// keeps the relayed framing identical to the direct one.
-func relayHead(w http.ResponseWriter, resp *http.Response, addr string, clen int64) {
-	h := w.Header()
-	for name, vals := range resp.Header {
-		if isHopHeader(name) || name == "Content-Length" {
-			continue
-		}
-		h[name] = vals
-	}
-	h.Set(fleetBackendHeader, addr)
-	if clen >= 0 {
-		h.Set("Content-Length", fmt.Sprintf("%d", clen))
-	}
-	w.WriteHeader(resp.StatusCode)
-}
-
-// flushCopy streams src to w, flushing after every read so streamed batch
-// responses keep their element-by-element progress through the router.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	rc := http.NewResponseController(w)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			rc.Flush() //nolint:errcheck // best-effort streaming
-		}
-		if err != nil {
-			return
-		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"sentinel/internal/obs"
+	"sentinel/internal/rawhttp"
 	"sentinel/internal/wire"
 )
 
@@ -198,23 +199,23 @@ func (rt *Router) exchangeTimeout(timeoutMS uint32) time.Duration {
 // streamed yet.
 func (rt *Router) wireAttempt(mu *sync.Mutex, bw *bufio.Writer, b *backend, timeoutMS uint32, elems []wire.ReqElem) (pending []wire.ReqElem, retriable bool, err error) {
 	for {
-		wc, pooled, err := b.getWire(rt.cfg.DialTimeout)
+		wc, pooled, err := b.wireConns.Get()
 		if err != nil {
 			rt.noteDialFailure(b)
 			return elems, true, err
 		}
-		wc.conn.SetDeadline(time.Now().Add(rt.exchangeTimeout(timeoutMS))) //nolint:errcheck
+		wc.SetDeadline(time.Now().Add(rt.exchangeTimeout(timeoutMS))) //nolint:errcheck
 		frame := wire.AppendRequest(nil, &wire.ReqFrame{TimeoutMS: timeoutMS, Elems: elems})
-		if _, werr := wc.conn.Write(frame); werr != nil {
-			wc.conn.Close()
+		if _, werr := wc.Write(frame); werr != nil {
+			wc.Close()
 			if pooled {
 				continue
 			}
 			return elems, true, werr
 		}
-		count, herr := wire.ReadResponseHeader(wc.br, wireLimits)
+		count, herr := wire.ReadResponseHeader(wc.BR, wireLimits)
 		if herr != nil {
-			wc.conn.Close()
+			wc.Close()
 			var pe *wire.ProtocolError
 			if errors.As(herr, &pe) {
 				if pe.Code == wire.ErrDraining {
@@ -235,7 +236,7 @@ func (rt *Router) wireAttempt(mu *sync.Mutex, bw *bufio.Writer, b *backend, time
 			return elems, true, herr
 		}
 		if count != len(elems) {
-			wc.conn.Close()
+			wc.Close()
 			return elems, true, fmt.Errorf("fleet: backend %s answered %d of %d elements", b.addr, count, len(elems))
 		}
 		return rt.wireStream(mu, bw, b, wc, elems)
@@ -245,7 +246,7 @@ func (rt *Router) wireAttempt(mu *sync.Mutex, bw *bufio.Writer, b *backend, time
 // wireStream relays one exchange's response elements to the client as they
 // arrive, matching them off against the outstanding tag multiset. On a
 // mid-stream failure the unanswered elements come back as pending.
-func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *wireConn, elems []wire.ReqElem) (pending []wire.ReqElem, retriable bool, err error) {
+func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *rawhttp.Conn, elems []wire.ReqElem) (pending []wire.ReqElem, retriable bool, err error) {
 	// Tag → pending element indices. The protocol does not require unique
 	// tags within a frame; duplicates pop in order (their payloads may
 	// differ, but the client chose to make their answers indistinguishable).
@@ -256,7 +257,7 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 	remaining := len(elems)
 	var hdr, payload []byte
 	for remaining > 0 {
-		tag, status, plen, rerr := wire.ReadElemHeader(wc.br, wireLimits)
+		tag, status, plen, rerr := wire.ReadElemHeader(wc.BR, wireLimits)
 		if rerr != nil {
 			err = rerr
 			break
@@ -272,7 +273,7 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
-		if _, rerr := io.ReadFull(wc.br, payload); rerr != nil {
+		if _, rerr := io.ReadFull(wc.BR, payload); rerr != nil {
 			err = rerr
 			break
 		}
@@ -284,12 +285,12 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 		mu.Unlock()
 		if ferr != nil {
 			// The client went away; nothing left to answer for.
-			wc.conn.Close()
+			wc.Close()
 			return nil, false, nil
 		}
 	}
 	if err != nil {
-		wc.conn.Close()
+		wc.Close()
 		for _, idxs := range pend {
 			for _, i := range idxs {
 				pending = append(pending, elems[i])
@@ -297,7 +298,7 @@ func (rt *Router) wireStream(mu *sync.Mutex, bw *bufio.Writer, b *backend, wc *w
 		}
 		return pending, true, err
 	}
-	b.putWire(wc)
+	b.wireConns.Put(wc)
 	return nil, false, nil
 }
 

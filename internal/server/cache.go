@@ -9,9 +9,9 @@ package server
 import (
 	"context"
 	"crypto/sha256"
-	"sync"
 
 	"sentinel/internal/core"
+	"sentinel/internal/eval"
 	"sentinel/internal/machine"
 	"sentinel/internal/mem"
 	"sentinel/internal/obs"
@@ -37,75 +37,30 @@ type compiled struct {
 	ref   *prog.Result
 }
 
-type sourceEntry struct {
-	done chan struct{}
-	val  *compiled
-	err  error
-}
-
-// sourceCache is a capacity-capped singleflight memo. When the map exceeds
-// cap it is dropped wholesale — the artifacts are deterministic, so a cold
-// recompute is only a latency cost, and wholesale reset keeps the
-// bookkeeping trivial under concurrent fills.
+// sourceCache is the Runner caches' singleflight memo with a capacity cap.
+// Once the cache holds cap entries it is dropped wholesale — the artifacts
+// are deterministic, so a cold recompute is only a latency cost, and a
+// wholesale reset keeps the bookkeeping trivial under concurrent fills.
+// Compile errors are cached with values (a malformed program stays
+// malformed); a context error is the owner's deadline, not a property of
+// the program, so it is evicted instead.
 type sourceCache struct {
-	mu  sync.Mutex
-	m   map[sourceKey]*sourceEntry
+	eval.Flight[sourceKey, *compiled]
 	cap int
 }
 
 func newSourceCache(capacity int) *sourceCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &sourceCache{m: map[sourceKey]*sourceEntry{}, cap: capacity}
+	c := &sourceCache{cap: max(capacity, 1)}
+	c.Arg = obs.ArgSources
+	return c
 }
 
-func (c *sourceCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// get returns the cached compile of k, computing it via fn on first use.
-// Errors are cached alongside values (a malformed program stays malformed).
-// A caller whose context expires while another goroutine compiles unblocks
+// get returns the cached compile of k, computing it via fn on first use. A
+// caller whose context expires while another goroutine compiles unblocks
 // with the context's error.
 func (c *sourceCache) get(ctx context.Context, k sourceKey, fn func() (*compiled, error)) (*compiled, error) {
-	c.mu.Lock()
-	if e, ok := c.m[k]; ok {
-		c.mu.Unlock()
-		// Completed entries serve without touching the request record; only
-		// a genuine wait on another request's compile earns a span.
-		select {
-		case <-e.done:
-			return e.val, e.err
-		default:
-		}
-		rd := obs.RecordFrom(ctx)
-		rd.Start(obs.StageSFWait, obs.ArgSources)
-		select {
-		case <-e.done:
-			rd.End()
-			return e.val, e.err
-		case <-ctx.Done():
-			rd.End()
-			return nil, ctx.Err()
-		}
+	if c.Len() >= c.cap {
+		c.Reset()
 	}
-	if err := ctx.Err(); err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	if len(c.m) >= c.cap {
-		c.m = map[sourceKey]*sourceEntry{}
-	}
-	e := &sourceEntry{done: make(chan struct{})}
-	c.m[k] = e
-	c.mu.Unlock()
-	rd := obs.RecordFrom(ctx)
-	rd.Start(obs.StageSFOwn, obs.ArgSources)
-	e.val, e.err = fn()
-	rd.End()
-	close(e.done)
-	return e.val, e.err
+	return c.GetCtx(ctx, k, fn)
 }

@@ -37,12 +37,14 @@ func ipc(instrs, cycles int64) float64 {
 	return float64(instrs) / float64(cycles)
 }
 
-// maxBodyBytes bounds request bodies — shared by the decode path and the
-// v1 wrapper's raw-fingerprint slurp so both refuse at the same size.
-const maxBodyBytes = 4 << 20
+// MaxBodyBytes bounds request bodies — shared by the decode path and the
+// v1 wrapper's raw-fingerprint slurp so both refuse at the same size, and
+// by the fleet router, which forwards at most MaxBodyBytes+1 bytes of a
+// body because the decode path never reads further.
+const MaxBodyBytes = 4 << 20
 
 func decodeBody(w http.ResponseWriter, r *http.Request, into any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {

@@ -38,7 +38,7 @@ const wireBufSize = 32 << 10
 
 // wireLimits mirrors the HTTP endpoints' bounds: same element ceiling as
 // /v1/batch, same per-payload cap as the JSON body limit.
-var wireLimits = wire.Limits{MaxElems: maxBatchElems, MaxPayload: maxBodyBytes}
+var wireLimits = wire.Limits{MaxElems: maxBatchElems, MaxPayload: MaxBodyBytes}
 
 // ServeWire accepts wire-protocol connections from l until it closes, one
 // goroutine per connection. Returns l's Accept error.

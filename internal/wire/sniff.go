@@ -43,7 +43,7 @@ type sniffListener struct {
 	serveWire func(br *bufio.Reader, conn net.Conn)
 	conns     chan net.Conn
 	done      chan struct{}
-	err       error // Accept error from inner; written before done closes
+	err       error // Accept error from inner; written only by the once that closes done
 	once      sync.Once
 }
 
@@ -51,8 +51,9 @@ func (l *sniffListener) accept() {
 	for {
 		conn, err := l.inner.Accept()
 		if err != nil {
-			l.err = err
-			l.once.Do(func() { close(l.done) })
+			// Recorded only when this loop is the first to close done: after
+			// Close, Accept may already be reading err.
+			l.once.Do(func() { l.err = err; close(l.done) })
 			return
 		}
 		go func() {
